@@ -9,11 +9,9 @@ package camera
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"rainbar/internal/channel"
-	"rainbar/internal/colorspace"
 	"rainbar/internal/faults"
 	"rainbar/internal/obs"
 	"rainbar/internal/raster"
@@ -105,6 +103,10 @@ func (c Camera) Film(d *screen.Display, ch *channel.Channel) ([]Capture, error) 
 	// for identical configurations.
 	rng := rand.New(rand.NewSource(c.Seed))
 	maxJitter := (c.Period() - readout) / 2 // captures must not overlap
+	frames := make([]*raster.Image, d.NumFrames())
+	for i := range frames {
+		frames[i] = d.Frame(i)
+	}
 	for k := 0; ; k++ {
 		start := c.Phase + time.Duration(k)*c.Period()
 		if c.TimingJitter > 0 && maxJitter > 0 {
@@ -123,7 +125,7 @@ func (c Camera) Film(d *screen.Display, ch *channel.Channel) ([]Capture, error) 
 		if start+readout <= 0 {
 			continue
 		}
-		cap, err := c.captureOne(d, ch, start, readout)
+		cap, err := c.captureOne(d, frames, ch, start, readout)
 		if err != nil {
 			return nil, err
 		}
@@ -148,75 +150,29 @@ func (c Camera) Film(d *screen.Display, ch *channel.Channel) ([]Capture, error) 
 	return out, nil
 }
 
-// rowMix describes one captured row's source: frame b, or a blend of
-// frames a and b (LCD transition) with weight alpha toward b.
-type rowMix struct {
-	a, b  int
-	alpha float64
-}
-
 // captureOne scans one image starting at start. Returns nil if no display
 // frame is visible during the scan.
-func (c Camera) captureOne(d *screen.Display, ch *channel.Channel, start, readout time.Duration) (*Capture, error) {
-	h := d.Frame(0).H
-	w := d.Frame(0).W
+func (c Camera) captureOne(d *screen.Display, frames []*raster.Image, ch *channel.Channel, start, readout time.Duration) (*Capture, error) {
+	h := frames[0].H
 
 	// Determine the source display frame(s) for every captured row. The
 	// "dominant" frame (the one contributing more than half the blend)
 	// defines provenance; fully blended rows still carry pixels of both.
-	rows := make([]rowMix, h)
-	dominant := make([]int, h)
-	needed := map[int]bool{}
-	for y := 0; y < h; y++ {
-		t := start + time.Duration(float64(readout)*float64(y)/float64(h))
-		a, b, alpha := d.BlendAt(t)
-		rows[y] = rowMix{a: a, b: b, alpha: alpha}
-		switch {
-		case b < 0:
-			dominant[y] = -1
-		case alpha >= 0.5:
-			dominant[y] = b
-		default:
-			dominant[y] = a
-		}
-		if b >= 0 {
-			needed[b] = true
-			if a >= 0 {
-				needed[a] = true
-			}
-		}
-	}
-	if len(needed) == 0 {
-		return nil, nil
-	}
-
-	// Warp every involved source frame with shared capture geometry.
-	indices := make([]int, 0, len(needed))
-	for idx := range needed {
-		indices = append(indices, idx)
-	}
-	sort.Ints(indices)
-	frames := make([]*raster.Image, len(indices))
-	for i, idx := range indices {
-		frames[i] = d.Frame(idx)
-	}
-	warped, err := ch.WarpAll(frames)
-	if err != nil {
-		return nil, fmt.Errorf("camera capture at %v: %w", start, err)
-	}
-	warpOf := make(map[int]*raster.Image, len(indices))
-	for i, idx := range indices {
-		warpOf[idx] = warped[i]
-	}
-
-	// Assemble the mixed image row by row; rows with no visible frame
-	// (before the first or after the last display frame) stay black.
-	mixed := raster.New(w, h)
+	rows := make([]channel.RowMix, h)
 	var distinct []int
 	var boundaries []int
 	prev := -2 // sentinel distinct from "no frame" (-1)
 	for y := 0; y < h; y++ {
-		dom := dominant[y]
+		t := start + time.Duration(float64(readout)*float64(y)/float64(h))
+		a, b, alpha := d.BlendAt(t)
+		rows[y] = channel.RowMix{A: a, B: b, Alpha: alpha}
+		dom := a
+		switch {
+		case b < 0:
+			dom = -1
+		case alpha >= 0.5:
+			dom = b
+		}
 		if dom != prev {
 			if dom >= 0 && prev >= 0 {
 				boundaries = append(boundaries, y)
@@ -226,33 +182,26 @@ func (c Camera) captureOne(d *screen.Display, ch *channel.Channel, start, readou
 			}
 			prev = dom
 		}
-		rm := rows[y]
-		if rm.b < 0 {
-			continue
-		}
-		dst := mixed.Pix[y*w : (y+1)*w]
-		if rm.a == rm.b || rm.alpha >= 1 {
-			copy(dst, warpOf[rm.b].Pix[y*w:(y+1)*w])
-			continue
-		}
-		rowA := warpOf[rm.a].Pix[y*w : (y+1)*w]
-		rowB := warpOf[rm.b].Pix[y*w : (y+1)*w]
-		for x := 0; x < w; x++ {
-			dst[x] = lerpRGB(rowA[x], rowB[x], rm.alpha)
-		}
+	}
+	if len(distinct) == 0 {
+		return nil, nil // no row shows a frame
 	}
 
+	// One warp under the shared capture geometry samples each row from the
+	// frame(s) it shows; rows with no visible frame (before the first or
+	// after the last display frame) stay black.
+	mixed, err := ch.WarpMix(frames, rows)
+	if err != nil {
+		return nil, fmt.Errorf("camera capture at %v: %w", start, err)
+	}
+	img := ch.Photometric(mixed)
+	// Photometric returns a fresh image, so the composite goes back to the
+	// pool.
+	raster.Recycle(mixed)
 	return &Capture{
-		Image:         ch.Photometric(mixed),
+		Image:         img,
 		Start:         start,
 		SourceFrames:  distinct,
 		RowBoundaries: boundaries,
 	}, nil
-}
-
-func lerpRGB(a, b colorspace.RGB, t float64) colorspace.RGB {
-	lerp := func(x, y uint8) uint8 {
-		return uint8(float64(x)*(1-t) + float64(y)*t + 0.5)
-	}
-	return colorspace.RGB{R: lerp(a.R, b.R), G: lerp(a.G, b.G), B: lerp(a.B, b.B)}
 }

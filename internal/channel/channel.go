@@ -11,9 +11,10 @@
 //   - indoor/outdoor ambient  -> additive veiling light + contrast loss
 //   - sensor noise            -> additive Gaussian per channel
 //
-// The geometry stage (Warp) and the photometric stage (Photometric) are
-// split so the rolling-shutter camera model can mix two geometrically
-// warped frames row-by-row before the shared photometric pass.
+// The geometry stage (Warp, WarpMix) and the photometric stage
+// (Photometric) are split so the rolling-shutter camera model can mix
+// geometrically warped frames row-by-row before the shared photometric
+// pass.
 package channel
 
 import (
@@ -243,36 +244,31 @@ func (ch *Channel) Reset() {
 	ch.captures = 0
 }
 
+// RowMix names what one capture row shows under a rolling shutter: frame
+// B, or — within an LCD transition — a blend of frames A and B with weight
+// Alpha toward B. A and B index the frame list handed to WarpMix; B < 0
+// means the screen shows nothing and the row stays black.
+type RowMix struct {
+	A, B  int
+	Alpha float64
+}
+
 // Warp applies only the geometric stage (perspective + lens distortion +
 // per-capture jitter) to a rendered frame, returning a capture-resolution
 // image on a black background. The same jitter draw is used for the whole
 // frame, as a real capture would.
 func (ch *Channel) Warp(frame *raster.Image) (*raster.Image, error) {
-	jx := (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
-	jy := (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
-	return ch.warpWithJitter(frame, jx, jy)
-}
-
-// WarpPair warps two frames with identical geometry (one jitter draw), as
-// needed for rolling-shutter mixing where both partial frames share the
-// capture geometry.
-func (ch *Channel) WarpPair(a, b *raster.Image) (wa, wb *raster.Image, err error) {
-	out, err := ch.WarpAll([]*raster.Image{a, b})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out[0], out[1], nil
+	jx, jy := ch.jitter()
+	return ch.warpMix([]*raster.Image{frame}, nil, jx, jy)
 }
 
 // WarpAll warps any number of frames with identical geometry (a single
-// jitter draw). A rolling-shutter capture that spans several displayed
-// frames mixes their rows within one capture geometry.
+// jitter draw), one output image per frame.
 func (ch *Channel) WarpAll(frames []*raster.Image) ([]*raster.Image, error) {
-	jx := (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
-	jy := (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
+	jx, jy := ch.jitter()
 	out := make([]*raster.Image, len(frames))
 	for i, f := range frames {
-		w, err := ch.warpWithJitter(f, jx, jy)
+		w, err := ch.warpMix([]*raster.Image{f}, nil, jx, jy)
 		if err != nil {
 			return nil, err
 		}
@@ -281,8 +277,38 @@ func (ch *Channel) WarpAll(frames []*raster.Image) ([]*raster.Image, error) {
 	return out, nil
 }
 
-func (ch *Channel) warpWithJitter(frame *raster.Image, jx, jy float64) (*raster.Image, error) {
-	w, h := frame.W, frame.H
+// WarpMix is the geometric stage of one rolling-shutter capture: a single
+// jitter draw, then capture row y samples the frame (or the blend of two
+// frames) that rows[y] names, under the one capture geometry. The frames
+// must share their size, which is also the capture size; len(rows) must be
+// the frame height.
+func (ch *Channel) WarpMix(frames []*raster.Image, rows []RowMix) (*raster.Image, error) {
+	jx, jy := ch.jitter()
+	return ch.warpMix(frames, rows, jx, jy)
+}
+
+// jitter draws the per-capture hand-shake translation.
+func (ch *Channel) jitter() (jx, jy float64) {
+	jx = (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
+	jy = (ch.rng.Float64()*2 - 1) * ch.cfg.JitterPx
+	return jx, jy
+}
+
+// warpMix is the one warp kernel. Each capture pixel is mapped once
+// through lens∘inverse-homography and sampled only from the frame(s) its
+// row shows; a blended row lerps the two samples toward B. Pixels that map
+// off the screen, and rows that show no frame, stay black. nil rows means
+// every row shows frames[0].
+func (ch *Channel) warpMix(frames []*raster.Image, rows []RowMix, jx, jy float64) (*raster.Image, error) {
+	w, h := frames[0].W, frames[0].H
+	for _, f := range frames {
+		if f.W != w || f.H != h {
+			return nil, fmt.Errorf("channel warp: frame %dx%d in a %dx%d capture", f.W, f.H, w, h)
+		}
+	}
+	if rows != nil && len(rows) != h {
+		return nil, fmt.Errorf("channel warp: %d row sources for %d rows", len(rows), h)
+	}
 	hom, err := geometry.PerspectiveView(float64(w), float64(h), ch.cfg.ViewAngleDeg, ch.cfg.scale(), jx, jy)
 	if err != nil {
 		return nil, fmt.Errorf("channel warp: %w", err)
@@ -298,12 +324,24 @@ func (ch *Channel) warpWithJitter(frame *raster.Image, jx, jy float64) (*raster.
 		K2:     ch.cfg.LensK2,
 	}
 
-	// Every output pixel is an independent pure function of the input
-	// frame and the (already drawn) jitter, so rows fan out across CPUs
-	// without affecting the result.
+	// Every output pixel is an independent pure function of the frames and
+	// the (already drawn) jitter, so rows fan out across CPUs without
+	// affecting the result.
 	out := raster.New(w, h)
 	raster.ParallelRows(h, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
+			rm := RowMix{Alpha: 1}
+			if rows != nil {
+				rm = rows[y]
+			}
+			if rm.B < 0 {
+				continue // no frame on screen: the row stays black
+			}
+			fb := frames[rm.B]
+			var fa *raster.Image
+			if rm.A != rm.B && rm.Alpha < 1 {
+				fa = frames[rm.A]
+			}
 			orow := out.Pix[y*w : (y+1)*w : (y+1)*w]
 			for x := 0; x < w; x++ {
 				// Captured pixel -> ideal pinhole position (lens model) ->
@@ -313,133 +351,142 @@ func (ch *Channel) warpWithJitter(frame *raster.Image, jx, jy float64) (*raster.
 				if src.X < -1 || src.X > float64(w) || src.Y < -1 || src.Y > float64(h) {
 					continue // stays black: the dark surround of the screen
 				}
-				orow[x] = frame.Bilinear(src.X, src.Y)
+				if fa == nil {
+					orow[x] = fb.Bilinear(src.X, src.Y)
+					continue
+				}
+				orow[x] = lerpRGB(fa.Bilinear(src.X, src.Y), fb.Bilinear(src.X, src.Y), rm.Alpha)
 			}
 		}
 	})
 	return out, nil
 }
 
+// lerpRGB blends two pixels with weight t toward b, rounding per channel.
+func lerpRGB(a, b colorspace.RGB, t float64) colorspace.RGB {
+	lerp := func(x, y uint8) uint8 {
+		return uint8(float64(x)*(1-t) + float64(y)*t + 0.5)
+	}
+	return colorspace.RGB{R: lerp(a.R, b.R), G: lerp(a.G, b.G), B: lerp(a.B, b.B)}
+}
+
 // Photometric applies the non-geometric stage in place of a new image:
 // blur, screen brightness, ambient veiling light, and sensor noise.
 //
-// All stochastic draws come from the channel's sequential PRNG, so they are
-// made up front — in the same R,G,B scan order as a per-pixel loop would —
-// into a pooled buffer; only the pure per-pixel arithmetic then fans out
-// across rows. The output is therefore independent of GOMAXPROCS.
+// The Gaussian blur runs first, over row bands in parallel. The optional
+// horizontal motion blur and the noise/photometric response then run in
+// one serial pass over the rows, in place: each row is motion-blurred
+// through one scratch row, then chroma and sensor noise are drawn from
+// the channel's sequential PRNG at the moment each pixel consumes them —
+// in the historical R,G,B scan order, after the coarse chroma draws — so
+// the stream of draws is exactly that of a serial per-pixel loop and the
+// output does not depend on GOMAXPROCS.
 func (ch *Channel) Photometric(img *raster.Image) *raster.Image {
 	if obs.Enabled(ch.Recorder) {
 		ch.Recorder.Inc(obs.MChannelPhotometric, 1)
 	}
 	out := img.GaussianBlur(ch.cfg.effectiveBlurSigma())
-	if ch.cfg.MotionBlurPx > 1 {
-		mb := out.MotionBlurHorizontal(ch.cfg.MotionBlurPx)
-		raster.Recycle(out)
-		out = mb
+	motion := ch.cfg.MotionBlurPx
+	var tmp []colorspace.RGB
+	if motion > 1 {
+		tmp = make([]colorspace.RGB, out.W)
 	}
-	chroma, chromaBacking := ch.chromaField(out.W, out.H)
+	chroma := ch.chromaField(out.W, out.H)
+	var chromaRow []float64
+	if chroma != nil {
+		chromaRow = make([]float64, 3*out.W)
+	}
 	level, contrast := ch.cfg.Ambient.veil()
 	bright := ch.cfg.ScreenBrightness
-	n := len(out.Pix)
-	var noiseBuf []float64
-	if ch.cfg.NoiseStdDev > 0 {
-		noiseBuf = raster.GetFloats(3 * n)
-		sd := ch.cfg.NoiseStdDev
-		for i := range noiseBuf {
-			noiseBuf[i] = ch.rng.NormFloat64() * sd
-		}
-	}
+	sd := ch.cfg.NoiseStdDev
 	w := out.W
-	raster.ParallelRows(out.H, func(y0, y1 int) {
-		for i := y0 * w; i < y1*w; i++ {
-			p := out.Pix[i]
+	for y := 0; y < out.H; y++ {
+		row := out.Pix[y*w : (y+1)*w : (y+1)*w]
+		if tmp != nil {
+			copy(tmp, row)
+			raster.MotionBlurRow(row, tmp, motion)
+		}
+		if chroma != nil {
+			chroma.row(y, chromaRow)
+		}
+		for x, px := range row {
 			var cr, cg, cb float64
-			if chroma[0] != nil {
+			if chroma != nil {
 				// Chroma artifacts scale with local luminance: camera
-				// pipelines denoise shadows aggressively, so dark (structural
-				// black) regions keep far less correlated noise than lit ones.
-				luma := (0.299*float64(p.R) + 0.587*float64(p.G) + 0.114*float64(p.B)) / 255
+				// pipelines denoise shadows aggressively, so dark
+				// (structural black) regions keep far less correlated
+				// noise than lit ones.
+				luma := (0.299*float64(px.R) + 0.587*float64(px.G) + 0.114*float64(px.B)) / 255
 				gain := 0.15 + 0.85*luma
-				cr, cg, cb = chroma[0][i]*gain, chroma[1][i]*gain, chroma[2][i]*gain
+				c := chromaRow[3*x : 3*x+3 : 3*x+3]
+				cr, cg, cb = c[0]*gain, c[1]*gain, c[2]*gain
 			}
 			var nr, ng, nb float64
-			if noiseBuf != nil {
-				nr, ng, nb = noiseBuf[3*i], noiseBuf[3*i+1], noiseBuf[3*i+2]
+			if sd > 0 {
+				nr = ch.rng.NormFloat64() * sd
+				ng = ch.rng.NormFloat64() * sd
+				nb = ch.rng.NormFloat64() * sd
 			}
-			out.Pix[i] = colorspace.RGB{
-				R: photom(p.R, bright, contrast, level, nr+cr),
-				G: photom(p.G, bright, contrast, level, ng+cg),
-				B: photom(p.B, bright, contrast, level, nb+cb),
+			row[x] = colorspace.RGB{
+				R: photom(px.R, bright, contrast, level, nr+cr),
+				G: photom(px.G, bright, contrast, level, ng+cg),
+				B: photom(px.B, bright, contrast, level, nb+cb),
 			}
 		}
-	})
-	if noiseBuf != nil {
-		raster.PutFloats(noiseBuf)
-	}
-	if chromaBacking != nil {
-		raster.PutFloats(chromaBacking)
 	}
 	return out
 }
 
-// chromaField builds the spatially correlated noise planes for one
-// capture: coarse per-patch Gaussian draws, bilinearly upsampled. The three
-// planes share one pooled backing slice, returned so the caller can recycle
-// it once the planes are consumed.
-func (ch *Channel) chromaField(w, h int) ([3][]float64, []float64) {
-	var zero [3][]float64
+// chromaField holds the spatially correlated noise of one capture: coarse
+// per-patch Gaussian draws, bilinearly upsampled one row at a time as the
+// photometric loop consumes them.
+type chromaField struct {
+	coarse [3][]float64
+	cw     int
+	scale  int
+}
+
+// chromaField makes every coarse draw of one capture, all before any
+// sensor-noise draw; nil when chroma noise is off.
+func (ch *Channel) chromaField(w, h int) *chromaField {
 	if ch.cfg.ChromaNoiseStdDev <= 0 {
-		return zero, nil
+		return nil
 	}
 	scale := ch.cfg.ChromaNoiseScalePx
 	if scale < 2 {
 		scale = 8
 	}
 	cw, chh := w/scale+2, h/scale+2
-	var coarse [3][]float64
+	f := &chromaField{cw: cw, scale: scale}
 	for c := 0; c < 3; c++ {
-		coarse[c] = make([]float64, cw*chh)
-		for i := range coarse[c] {
-			coarse[c][i] = ch.rng.NormFloat64() * ch.cfg.ChromaNoiseStdDev
+		f.coarse[c] = make([]float64, cw*chh)
+		for i := range f.coarse[c] {
+			f.coarse[c][i] = ch.rng.NormFloat64() * ch.cfg.ChromaNoiseStdDev
 		}
 	}
-	n := w * h
-	backing := raster.GetFloats(3 * n)
-	var out [3][]float64
-	for c := 0; c < 3; c++ {
-		out[c] = backing[c*n : (c+1)*n]
-	}
-	// The coarse draws above consumed the PRNG; upsampling is pure, so it
-	// runs row-parallel.
-	raster.ParallelRows(h, func(ys, ye int) {
-		for y := ys; y < ye; y++ {
-			fy := float64(y) / float64(scale)
-			y0 := int(fy)
-			ty := fy - float64(y0)
-			for x := 0; x < w; x++ {
-				fx := float64(x) / float64(scale)
-				x0 := int(fx)
-				tx := fx - float64(x0)
-				for c := 0; c < 3; c++ {
-					v00 := coarse[c][y0*cw+x0]
-					v10 := coarse[c][y0*cw+x0+1]
-					v01 := coarse[c][(y0+1)*cw+x0]
-					v11 := coarse[c][(y0+1)*cw+x0+1]
-					top := v00*(1-tx) + v10*tx
-					bot := v01*(1-tx) + v11*tx
-					out[c][y*w+x] = top*(1-ty) + bot*ty
-				}
-			}
-		}
-	})
-	return out, backing
+	return f
 }
 
-func (ch *Channel) noise() float64 {
-	if ch.cfg.NoiseStdDev <= 0 {
-		return 0
+// row writes the upsampled noise of capture row y into dst as interleaved
+// R,G,B values, one triple per pixel.
+func (f *chromaField) row(y int, dst []float64) {
+	fy := float64(y) / float64(f.scale)
+	y0 := int(fy)
+	ty := fy - float64(y0)
+	for x := 0; x < len(dst)/3; x++ {
+		fx := float64(x) / float64(f.scale)
+		x0 := int(fx)
+		tx := fx - float64(x0)
+		for c := 0; c < 3; c++ {
+			v00 := f.coarse[c][y0*f.cw+x0]
+			v10 := f.coarse[c][y0*f.cw+x0+1]
+			v01 := f.coarse[c][(y0+1)*f.cw+x0]
+			v11 := f.coarse[c][(y0+1)*f.cw+x0+1]
+			top := v00*(1-tx) + v10*tx
+			bot := v01*(1-tx) + v11*tx
+			dst[3*x+c] = top*(1-ty) + bot*ty
+		}
 	}
-	return ch.rng.NormFloat64() * ch.cfg.NoiseStdDev
 }
 
 func photom(v uint8, bright, contrast, ambient, noise float64) uint8 {

@@ -210,7 +210,7 @@ func TestOutdoorRaisesFloorAndCutsContrast(t *testing.T) {
 	}
 }
 
-func TestWarpPairSharesGeometry(t *testing.T) {
+func TestWarpAllSharesGeometry(t *testing.T) {
 	a := raster.New(80, 45)
 	a.Fill(colorspace.RGBRed)
 	b := raster.New(80, 45)
@@ -218,10 +218,11 @@ func TestWarpPairSharesGeometry(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JitterPx = 3 // large jitter would misalign if drawn twice
 	ch := MustNew(cfg)
-	wa, wb, err := ch.WarpPair(a, b)
+	warped, err := ch.WarpAll([]*raster.Image{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wa, wb := warped[0], warped[1]
 	// Wherever one warped frame is lit, the other must be lit too (same
 	// geometric footprint).
 	for i := range wa.Pix {

@@ -19,13 +19,13 @@ import (
 	"rainbar/internal/colorspace"
 )
 
-// parallelRows splits the row range [0, h) into contiguous bands, one per
+// ParallelRows splits the row range [0, h) into contiguous bands, one per
 // available CPU, and runs fn on each band concurrently. fn must only read
 // shared inputs and write rows inside its own band; because every output
 // row is computed independently, results are identical for any worker
 // count. With a single CPU (or a single row) it degenerates to a plain
 // call, so the serial path pays no synchronization cost.
-func parallelRows(h int, fn func(y0, y1 int)) {
+func ParallelRows(h int, fn func(y0, y1 int)) {
 	workers := min(runtime.GOMAXPROCS(0), h)
 	if workers <= 1 {
 		fn(0, h)
@@ -45,12 +45,6 @@ func parallelRows(h int, fn func(y0, y1 int)) {
 	}
 	wg.Wait()
 }
-
-// ParallelRows exposes the row-band scheduler to sibling packages (the
-// channel simulator fans its per-pixel stages out with it). The contract is
-// parallelRows': fn must write only rows inside its own band and compute
-// each row independently of the others.
-func ParallelRows(h int, fn func(y0, y1 int)) { parallelRows(h, fn) }
 
 // RowTask is the typed-job counterpart of the ParallelRows callback: a
 // value whose RunRows processes the contiguous row band [y0, y1). Hot-path
@@ -127,25 +121,22 @@ func ParallelRowTasks(h int, t RowTask) {
 	wgPool.Put(wg)
 }
 
-// GetFloats returns a pooled scratch slice of length n with undefined
-// contents; callers must overwrite every element they read. Pair with
-// PutFloats when the scratch is no longer referenced.
-func GetFloats(n int) []float64 { return getFloats(n) }
-
-// PutFloats returns a slice obtained from GetFloats to the pool.
-func PutFloats(b []float64) { putFloats(b) }
-
-// floatPool recycles the blur scratch planes. A 640x360 capture needs
-// ~5.5 MB of float scratch; without the pool that much garbage is created
-// per simulated capture. boxPool recycles the *[]float64 headers the pool
-// stores, so a get/put round trip is allocation-free after warmup — the
-// naive floatPool.Put(&b) would heap-allocate a fresh header every call.
+// floatPool recycles float scratch: the blur's ring rows (2·r+1 rows of
+// 3·W floats per band, ~105 KB at 640 px wide and sigma 0.9) and the
+// sharpness row sums, which every simulated capture and every decode
+// would otherwise allocate afresh. boxPool recycles the *[]float64
+// headers the pool stores, so a get/put round trip is allocation-free
+// after warmup — the naive floatPool.Put(&b) would heap-allocate a fresh
+// header every call.
 var (
 	floatPool sync.Pool
 	boxPool   sync.Pool
 )
 
-func getFloats(n int) []float64 {
+// GetFloats returns a pooled scratch slice of length n with undefined
+// contents; callers must overwrite every element they read. Pair with
+// PutFloats when the scratch is no longer referenced.
+func GetFloats(n int) []float64 {
 	if box, ok := floatPool.Get().(*[]float64); ok {
 		s := *box
 		*box = nil
@@ -157,7 +148,8 @@ func getFloats(n int) []float64 {
 	return make([]float64, n)
 }
 
-func putFloats(b []float64) {
+// PutFloats returns a slice obtained from GetFloats to the pool.
+func PutFloats(b []float64) {
 	box, ok := boxPool.Get().(*[]float64)
 	if !ok {
 		box = new([]float64)
@@ -356,121 +348,192 @@ func (img *Image) MeanFilterAt(x, y int) colorspace.RGB {
 // GaussianBlur returns a blurred copy of img using a separable Gaussian
 // kernel with the given standard deviation (in pixels). sigma <= 0 returns
 // an unmodified clone.
+//
+// The rows are split into one band per CPU and each band runs the rowBlur
+// kernel; every output row is computed with the same per-pixel operation
+// order whichever band produces it, so the result does not depend on the
+// worker count.
 func (img *Image) GaussianBlur(sigma float64) *Image {
 	if sigma <= 0 {
 		return img.Clone()
 	}
+	out := newUncleared(img.W, img.H)
 	kernel := gaussianKernel(sigma)
-	half := len(kernel) / 2
+	w := img.W
+	ParallelRows(img.H, func(y0, y1 int) {
+		b := newRowBlur(img, kernel, y0)
+		for y := y0; y < y1; y++ {
+			b.next(out.Pix[y*w : (y+1)*w : (y+1)*w])
+		}
+		b.close()
+	})
+	return out
+}
 
-	// Interior pixels see the whole kernel, so their weight sum is the
-	// same everywhere; accumulate it once in kernel-index order — the same
-	// order the per-pixel loop uses — to keep the division bit-identical
-	// to summing it per pixel.
+// rowBlur streams the Gaussian blur of an image one output row at a time,
+// top to bottom, from a starting row. GaussianBlur runs one per row band.
+//
+// The kernel is separable. Each source row is blurred horizontally into a
+// ring that holds only the 2·r+1 rows the next output row needs, and the
+// output row is the vertical pass over those ring rows. The arithmetic per
+// pixel is the textbook two-plane blur's, in the same order, so the output
+// is bit-identical to it.
+//
+// Black is skipped, not computed. Each ring row records the column span
+// outside of which its horizontal blur is exactly 0 (every tap there reads
+// black), and each output row writes black directly outside the union of
+// its source rows' spans: there every vertical tap is 0 too, and 0 divided
+// by the weight sum is exactly 0.
+type rowBlur struct {
+	src    *Image
+	kernel []float64
+	ksum   float64 // the weight sum of a tap set that is all in bounds
+	// ring holds 2·r+1 horizontally blurred source rows, each W
+	// interleaved R,G,B float triples. Source row sy lives in slot
+	// sy % len(lo) and is zero outside [lo[slot], hi[slot]).
+	ring   []float64
+	lo, hi []int
+	loaded int // next source row to blur horizontally
+	row    int // next output row
+	// taps and weights are the current output row's in-bounds vertical
+	// taps, in kernel order.
+	taps    [][]float64
+	weights []float64
+}
+
+// newRowBlur starts a blur whose first output row is y0.
+func newRowBlur(src *Image, kernel []float64, y0 int) *rowBlur {
+	// The sum is accumulated in kernel-index order, the order in which
+	// the per-pixel loops add the weights of an edge pixel's in-bounds
+	// taps, so dividing by it is bit-identical to summing per pixel.
 	var ksum float64
 	for _, kv := range kernel {
 		ksum += kv
 	}
+	n := len(kernel)
+	b := &rowBlur{
+		src: src, kernel: kernel, ksum: ksum,
+		ring:    GetFloats(n * 3 * src.W),
+		lo:      make([]int, n),
+		hi:      make([]int, n),
+		loaded:  max(y0-n/2, 0),
+		row:     y0,
+		taps:    make([][]float64, 0, n),
+		weights: make([]float64, 0, n),
+	}
+	clear(b.ring)
+	return b
+}
 
-	// Horizontal pass into pooled float planes, then vertical pass. Both
-	// passes run row-parallel: every output pixel is computed independently
-	// and in the same operation order as the serial loop, so the result
-	// does not depend on the worker count.
-	w, h := img.W, img.H
-	n := w * h
-	scratch := getFloats(3 * n)
-	tmpR := scratch[0*n : 1*n]
-	tmpG := scratch[1*n : 2*n]
-	tmpB := scratch[2*n : 3*n]
-	// Columns [lo, hi) have the whole kernel in bounds horizontally.
-	lo := min(half, w)
-	hi := max(w-half, lo)
-	parallelRows(h, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			base := y * w
-			row := img.Pix[base : base+w : base+w]
-			edge := func(x int) {
-				var r, g, b, wsum float64
-				for k, kv := range kernel {
-					sx := x + k - half
-					if sx < 0 || sx >= w {
-						continue
-					}
-					p := row[sx]
-					r += kv * float64(p.R)
-					g += kv * float64(p.G)
-					b += kv * float64(p.B)
-					wsum += kv
-				}
-				tmpR[base+x] = r / wsum
-				tmpG[base+x] = g / wsum
-				tmpB[base+x] = b / wsum
-			}
-			for x := 0; x < lo; x++ {
-				edge(x)
-			}
-			for x := hi; x < w; x++ {
-				edge(x)
-			}
-			for x := lo; x < hi; x++ {
-				var r, g, b float64
-				for k, kv := range kernel {
-					p := row[x+k-half]
-					r += kv * float64(p.R)
-					g += kv * float64(p.G)
-					b += kv * float64(p.B)
-				}
-				tmpR[base+x] = r / ksum
-				tmpG[base+x] = g / ksum
-				tmpB[base+x] = b / ksum
+// close returns the ring scratch to its pool; the rowBlur must not be used
+// afterwards.
+func (b *rowBlur) close() {
+	PutFloats(b.ring)
+	b.ring = nil
+}
+
+// next writes the next output row of the blur into dst (len == src.W).
+func (b *rowBlur) next(dst []colorspace.RGB) {
+	src := b.src
+	w, h := src.W, src.H
+	y := b.row
+	b.row++
+	half := len(b.kernel) / 2
+	for ; b.loaded <= min(y+half, h-1); b.loaded++ {
+		b.blurSourceRow(b.loaded)
+	}
+	// Gather the taps inside the image and the union of their rows' spans.
+	// On an interior row the weight sum is ksum bit for bit: the same
+	// weights added in the same order.
+	taps, weights := b.taps[:0], b.weights[:0]
+	var wsum float64
+	lo, hi := w, 0
+	for k, kv := range b.kernel {
+		sy := y + k - half
+		if sy < 0 || sy >= h {
+			continue
+		}
+		s := sy % len(b.lo)
+		taps = append(taps, b.slot(s))
+		weights = append(weights, kv)
+		wsum += kv
+		if b.lo[s] < b.hi[s] {
+			lo, hi = min(lo, b.lo[s]), max(hi, b.hi[s])
+		}
+	}
+	b.taps, b.weights = taps, weights
+	if lo >= hi {
+		clear(dst)
+		return
+	}
+	clear(dst[:lo])
+	clear(dst[hi:])
+	for x := lo; x < hi; x++ {
+		var r, g, bl float64
+		for i, row := range taps {
+			kv := weights[i]
+			p := row[3*x : 3*x+3 : 3*x+3]
+			r += kv * p[0]
+			g += kv * p[1]
+			bl += kv * p[2]
+		}
+		dst[x] = colorspace.RGB{R: clampRound(r / wsum), G: clampRound(g / wsum), B: clampRound(bl / wsum)}
+	}
+}
+
+// slot returns ring slot s: one row of interleaved R,G,B floats.
+func (b *rowBlur) slot(s int) []float64 {
+	n := 3 * b.src.W
+	return b.ring[s*n : (s+1)*n : (s+1)*n]
+}
+
+// blurSourceRow runs the horizontal pass of source row sy into its ring
+// slot, over the columns the row's lit pixels reach; the rest of the slot
+// is zero.
+func (b *rowBlur) blurSourceRow(sy int) {
+	w, kernel := b.src.W, b.kernel
+	half := len(kernel) / 2
+	row := b.src.Pix[sy*w : (sy+1)*w : (sy+1)*w]
+	s := sy % len(b.lo)
+	slot := b.slot(s)
+	clear(slot[3*b.lo[s] : 3*b.hi[s]]) // the previous row's span
+	first := -1
+	for x, p := range row {
+		if p != colorspace.RGBBlack {
+			first = x
+			break
+		}
+	}
+	lo, hi := 0, 0
+	if first >= 0 {
+		last := w - 1
+		for row[last] == colorspace.RGBBlack {
+			last--
+		}
+		lo, hi = max(first-half, 0), min(last+half+1, w)
+	}
+	b.lo[s], b.hi[s] = lo, hi
+	for x := lo; x < hi; x++ {
+		// Taps [kLo, kHi) fall inside the row. An edge column divides by
+		// the weights of those taps alone, summed in kernel order.
+		kLo, kHi := max(half-x, 0), min(len(kernel), w-x+half)
+		ws := b.ksum
+		if kLo > 0 || kHi < len(kernel) {
+			ws = 0
+			for _, kv := range kernel[kLo:kHi] {
+				ws += kv
 			}
 		}
-	})
-	out := newUncleared(w, h)
-	parallelRows(h, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			base := y * w
-			if y >= half && y < h-half {
-				// Interior rows: the whole kernel is in bounds vertically.
-				for x := 0; x < w; x++ {
-					var r, g, b float64
-					for k, kv := range kernel {
-						i := (y+k-half)*w + x
-						r += kv * tmpR[i]
-						g += kv * tmpG[i]
-						b += kv * tmpB[i]
-					}
-					out.Pix[base+x] = colorspace.RGB{
-						R: clampRound(r / ksum),
-						G: clampRound(g / ksum),
-						B: clampRound(b / ksum),
-					}
-				}
-				continue
-			}
-			for x := 0; x < w; x++ {
-				var r, g, b, wsum float64
-				for k, kv := range kernel {
-					sy := y + k - half
-					if sy < 0 || sy >= h {
-						continue
-					}
-					i := sy*w + x
-					r += kv * tmpR[i]
-					g += kv * tmpG[i]
-					b += kv * tmpB[i]
-					wsum += kv
-				}
-				out.Pix[base+x] = colorspace.RGB{
-					R: clampRound(r / wsum),
-					G: clampRound(g / wsum),
-					B: clampRound(b / wsum),
-				}
-			}
+		var r, g, bl float64
+		for k, p := range row[x+kLo-half : x+kHi-half] {
+			kv := kernel[kLo+k]
+			r += kv * float64(p.R)
+			g += kv * float64(p.G)
+			bl += kv * float64(p.B)
 		}
-	})
-	putFloats(scratch)
-	return out
+		o := slot[3*x : 3*x+3 : 3*x+3]
+		o[0], o[1], o[2] = r/ws, g/ws, bl/ws
+	}
 }
 
 // MotionBlurHorizontal returns a copy blurred by a horizontal box kernel of
@@ -481,44 +544,49 @@ func (img *Image) MotionBlurHorizontal(length int) *Image {
 		return img.Clone()
 	}
 	out := newUncleared(img.W, img.H)
-	half := length / 2
 	w := img.W
-	// Sliding-window box sums make each row O(W) instead of O(W·length);
-	// integer arithmetic keeps the result identical to the naive kernel.
-	parallelRows(img.H, func(y0, y1 int) {
+	ParallelRows(img.H, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
-			row := img.Pix[y*w : (y+1)*w : (y+1)*w]
-			orow := out.Pix[y*w : (y+1)*w : (y+1)*w]
-			var r, g, b, n int
-			for sx := 0; sx <= half && sx < w; sx++ {
-				p := row[sx]
-				r += int(p.R)
-				g += int(p.G)
-				b += int(p.B)
-				n++
-			}
-			for x := 0; x < w; x++ {
-				orow[x] = colorspace.RGB{
-					R: uint8(r / n), G: uint8(g / n), B: uint8(b / n),
-				}
-				if sx := x - half; sx >= 0 {
-					p := row[sx]
-					r -= int(p.R)
-					g -= int(p.G)
-					b -= int(p.B)
-					n--
-				}
-				if sx := x + half + 1; sx < w {
-					p := row[sx]
-					r += int(p.R)
-					g += int(p.G)
-					b += int(p.B)
-					n++
-				}
-			}
+			MotionBlurRow(out.Pix[y*w:(y+1)*w:(y+1)*w], img.Pix[y*w:(y+1)*w:(y+1)*w], length)
 		}
 	})
 	return out
+}
+
+// MotionBlurRow writes src blurred by a horizontal box kernel of the given
+// length (> 1) into dst; dst and src must not overlap. Sliding-window box
+// sums make each row O(W) instead of O(W·length); integer arithmetic keeps
+// the result identical to the naive kernel.
+func MotionBlurRow(dst, src []colorspace.RGB, length int) {
+	half := length / 2
+	w := len(src)
+	var r, g, b, n int
+	for sx := 0; sx <= half && sx < w; sx++ {
+		p := src[sx]
+		r += int(p.R)
+		g += int(p.G)
+		b += int(p.B)
+		n++
+	}
+	for x := 0; x < w; x++ {
+		dst[x] = colorspace.RGB{
+			R: uint8(r / n), G: uint8(g / n), B: uint8(b / n),
+		}
+		if sx := x - half; sx >= 0 {
+			p := src[sx]
+			r -= int(p.R)
+			g -= int(p.G)
+			b -= int(p.B)
+			n--
+		}
+		if sx := x + half + 1; sx < w {
+			p := src[sx]
+			r += int(p.R)
+			g += int(p.G)
+			b += int(p.B)
+			n++
+		}
+	}
 }
 
 func gaussianKernel(sigma float64) []float64 {
@@ -566,13 +634,13 @@ func (img *Image) Sharpness() float64 {
 		t = new(sharpTask)
 	}
 	t.img = img
-	t.rowSums = getFloats(img.H - 1)
+	t.rowSums = GetFloats(img.H - 1)
 	ParallelRowTasks(img.H-1, t)
 	var sum float64
 	for _, s := range t.rowSums {
 		sum += s
 	}
-	putFloats(t.rowSums)
+	PutFloats(t.rowSums)
 	t.img, t.rowSums = nil, nil
 	sharpPool.Put(t)
 	return sum / float64((img.W-1)*(img.H-1))
@@ -594,7 +662,7 @@ type sharpTask struct {
 func (t *sharpTask) RunRows(y0, y1 int) {
 	img := t.img
 	w := img.W
-	scratch := getFloats(2 * w)
+	scratch := GetFloats(2 * w)
 	cur, next := scratch[:w], scratch[w:]
 	lumaRow(img.Pix[y0*w:(y0+1)*w:(y0+1)*w], cur)
 	for y := y0; y < y1; y++ {
@@ -611,7 +679,7 @@ func (t *sharpTask) RunRows(y0, y1 int) {
 		t.rowSums[y] = sum
 		cur, next = next, cur
 	}
-	putFloats(scratch)
+	PutFloats(scratch)
 }
 
 // lumaRow writes luma(row[x]) into dst[x] using the per-channel tables.

@@ -3,7 +3,9 @@ package raster
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"testing/quick"
@@ -147,6 +149,140 @@ func TestGaussianBlurSpreadsEdge(t *testing.T) {
 	}
 	if out.At(9, 0).R == 0 || out.At(10, 0).R == 255 {
 		t.Error("blur did not spread the edge")
+	}
+}
+
+// gaussianBlurRef is the original two-plane separable blur: a horizontal
+// pass over every pixel into three full float planes, then a vertical pass
+// over them. GaussianBlur must stay byte-equal to it.
+func gaussianBlurRef(img *Image, sigma float64) *Image {
+	if sigma <= 0 {
+		return img.Clone()
+	}
+	kernel := gaussianKernel(sigma)
+	half := len(kernel) / 2
+	var ksum float64
+	for _, kv := range kernel {
+		ksum += kv
+	}
+	w, h := img.W, img.H
+	n := w * h
+	tmpR, tmpG, tmpB := make([]float64, n), make([]float64, n), make([]float64, n)
+	lo := min(half, w)
+	hi := max(w-half, lo)
+	for y := 0; y < h; y++ {
+		base := y * w
+		row := img.Pix[base : base+w]
+		edge := func(x int) {
+			var r, g, b, wsum float64
+			for k, kv := range kernel {
+				sx := x + k - half
+				if sx < 0 || sx >= w {
+					continue
+				}
+				p := row[sx]
+				r += kv * float64(p.R)
+				g += kv * float64(p.G)
+				b += kv * float64(p.B)
+				wsum += kv
+			}
+			tmpR[base+x], tmpG[base+x], tmpB[base+x] = r/wsum, g/wsum, b/wsum
+		}
+		for x := 0; x < lo; x++ {
+			edge(x)
+		}
+		for x := hi; x < w; x++ {
+			edge(x)
+		}
+		for x := lo; x < hi; x++ {
+			var r, g, b float64
+			for k, kv := range kernel {
+				p := row[x+k-half]
+				r += kv * float64(p.R)
+				g += kv * float64(p.G)
+				b += kv * float64(p.B)
+			}
+			tmpR[base+x], tmpG[base+x], tmpB[base+x] = r/ksum, g/ksum, b/ksum
+		}
+	}
+	out := New(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			var r, g, b, wsum float64
+			interior := y >= half && y < h-half
+			for k, kv := range kernel {
+				sy := y + k - half
+				if sy < 0 || sy >= h {
+					continue
+				}
+				i := sy*w + x
+				r += kv * tmpR[i]
+				g += kv * tmpG[i]
+				b += kv * tmpB[i]
+				wsum += kv
+			}
+			if interior {
+				wsum = ksum
+			}
+			out.Pix[y*w+x] = colorspace.RGB{R: clampRound(r / wsum), G: clampRound(g / wsum), B: clampRound(b / wsum)}
+		}
+	}
+	return out
+}
+
+// blurCases are images the blur kernel must reproduce bit for bit: lit
+// content inside black borders, content touching each edge, all black,
+// 1x1, and sizes smaller than the kernel in either direction.
+func blurCases() map[string]*Image {
+	rng := rand.New(rand.NewSource(3))
+	random := func(img *Image, x0, y0, x1, y1 int) *Image {
+		for y := y0; y < y1; y++ {
+			for x := x0; x < x1; x++ {
+				img.Pix[y*img.W+x] = colorspace.RGB{R: uint8(rng.Intn(256)), G: uint8(rng.Intn(256)), B: uint8(rng.Intn(256))}
+			}
+		}
+		return img
+	}
+	cases := map[string]*Image{
+		"bordered":   random(New(97, 61), 17, 9, 80, 50),
+		"full":       random(New(64, 40), 0, 0, 64, 40),
+		"left-edge":  random(New(50, 30), 0, 5, 20, 25),
+		"right-edge": random(New(50, 30), 31, 5, 50, 25),
+		"top-edge":   random(New(50, 30), 10, 0, 40, 12),
+		"bottom":     random(New(50, 30), 10, 19, 40, 30),
+		"all-black":  New(33, 21),
+		"1x1":        random(New(1, 1), 0, 0, 1, 1),
+		"narrow":     random(New(3, 40), 0, 0, 3, 40),
+		"short":      random(New(40, 2), 0, 0, 40, 2),
+		"tiny":       random(New(4, 5), 0, 0, 4, 5),
+	}
+	// Scattered isolated lit pixels and a lit pixel in every corner.
+	sparse := New(70, 45)
+	for i := 0; i < 25; i++ {
+		sparse.Pix[rng.Intn(len(sparse.Pix))] = colorspace.RGB{R: uint8(rng.Intn(256)), G: 255, B: uint8(rng.Intn(256))}
+	}
+	for _, i := range []int{0, sparse.W - 1, (sparse.H - 1) * sparse.W, len(sparse.Pix) - 1} {
+		sparse.Pix[i] = colorspace.RGBWhite
+	}
+	cases["sparse"] = sparse
+	return cases
+}
+
+// TestGaussianBlurMatchesReference runs the blur as one band (the streamed
+// row order Photometric uses) and as three bands, so bands that start
+// mid-image are covered too.
+func TestGaussianBlurMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		for name, img := range blurCases() {
+			for _, sigma := range []float64{0.3, 0.9, 2.5} {
+				got, want := img.GaussianBlur(sigma), gaussianBlurRef(img, sigma)
+				if !bytes.Equal(flatten(got), flatten(want)) {
+					t.Errorf("%s sigma=%v procs=%d: blur differs from the two-plane reference", name, sigma, procs)
+				}
+			}
+		}
 	}
 }
 

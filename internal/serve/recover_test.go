@@ -124,17 +124,21 @@ func TestRecoverSkipsDamagedSession(t *testing.T) {
 }
 
 // TestRecoverRespectsMaxSessions: a smaller post-crash capacity skips
-// the overflow instead of failing recovery.
+// the overflow instead of failing recovery. The sessions hold at a gate
+// until the test ends, so the first two are still live when the third
+// is re-admitted; a session that finished first would free its slot.
 func TestRecoverRespectsMaxSessions(t *testing.T) {
 	dir := t.TempDir()
 	writeJournal(t, dir, []journal.Record{
 		submitRecord(t, 1, 1), submitRecord(t, 2, 1), submitRecord(t, 3, 1),
 	})
-	s, rep, err := Recover(dir, journal.Options{}, Config{Workers: 1, MaxSessions: 2, Factory: fakeFactory{}})
+	gate := make(chan struct{})
+	s, rep, err := Recover(dir, journal.Options{}, Config{Workers: 1, MaxSessions: 2, Factory: gateFactory{gate: gate}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
+		close(gate)
 		s.Drain()
 		s.Journal().Close()
 	}()
