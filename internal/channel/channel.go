@@ -15,6 +15,12 @@
 // (Photometric) are split so the rolling-shutter camera model can mix
 // geometrically warped frames row-by-row before the shared photometric
 // pass.
+//
+// Every capture is a pure function of the seed and the capture sequence.
+// The channel's one sequential PRNG supplies the per-capture draws (the
+// jitter, the coarse chroma field and one sensor-noise key); per-pixel
+// sensor noise is keyed by (capture key, row), so both stages run over
+// row bands in parallel and the pixels do not depend on GOMAXPROCS.
 package channel
 
 import (
@@ -373,81 +379,105 @@ func lerpRGB(a, b colorspace.RGB, t float64) colorspace.RGB {
 // Photometric applies the non-geometric stage in place of a new image:
 // blur, screen brightness, ambient veiling light, and sensor noise.
 //
-// The Gaussian blur runs first, over row bands in parallel. The optional
-// horizontal motion blur and the noise/photometric response then run in
-// one serial pass over the rows, in place: each row is motion-blurred
-// through one scratch row, then chroma and sensor noise are drawn from
-// the channel's sequential PRNG at the moment each pixel consumes them —
-// in the historical R,G,B scan order, after the coarse chroma draws — so
-// the stream of draws is exactly that of a serial per-pixel loop and the
-// output does not depend on GOMAXPROCS.
+// Per capture, the channel's sequential PRNG gives only serial draws: the
+// coarse chroma field, then — only when sensor noise is on — one 64-bit
+// capture key. Everything else runs in the Gaussian blur's own row bands
+// (raster.GaussianBlurRows), one fork/join per pass: each row, right after
+// it is blurred, gets the optional horizontal motion blur and then the
+// noise/photometric response, in place. Row y draws its sensor noise (R,
+// G, B per pixel, left to right) from a splitmix64 stream seeded by
+// (capture key, y) alone, so no draw crosses a row and the output depends
+// neither on the band layout nor on GOMAXPROCS.
 func (ch *Channel) Photometric(img *raster.Image) *raster.Image {
 	if obs.Enabled(ch.Recorder) {
 		ch.Recorder.Inc(obs.MChannelPhotometric, 1)
 	}
-	out := img.GaussianBlur(ch.cfg.effectiveBlurSigma())
+	chroma := ch.chromaField(img.W, img.H)
+	sd := ch.cfg.NoiseStdDev
+	var key uint64
+	if sd > 0 {
+		key = ch.rng.Uint64()
+	}
 	motion := ch.cfg.MotionBlurPx
-	var tmp []colorspace.RGB
-	if motion > 1 {
-		tmp = make([]colorspace.RGB, out.W)
-	}
-	chroma := ch.chromaField(out.W, out.H)
-	var chromaRow []float64
-	if chroma != nil {
-		chromaRow = make([]float64, 3*out.W)
-	}
 	level, contrast := ch.cfg.Ambient.veil()
 	bright := ch.cfg.ScreenBrightness
-	sd := ch.cfg.NoiseStdDev
-	w := out.W
-	for y := 0; y < out.H; y++ {
-		row := out.Pix[y*w : (y+1)*w : (y+1)*w]
-		if tmp != nil {
-			copy(tmp, row)
-			raster.MotionBlurRow(row, tmp, motion)
+	w := img.W
+	return img.GaussianBlurRows(ch.cfg.effectiveBlurSigma(), func() func(int, []colorspace.RGB) {
+		var tmp []colorspace.RGB
+		if motion > 1 {
+			tmp = make([]colorspace.RGB, w)
 		}
+		var chromaRow []float64
 		if chroma != nil {
-			chroma.row(y, chromaRow)
+			chromaRow = make([]float64, 3*w)
 		}
-		for x, px := range row {
-			var cr, cg, cb float64
+		var src rowNoise
+		// Determinism contract (RB-D2): a locally keyed *rand.Rand — row
+		// y's noise is a pure function of (capture key, y).
+		rng := rand.New(&src)
+		return func(y int, row []colorspace.RGB) {
+			if tmp != nil {
+				copy(tmp, row)
+				raster.MotionBlurRow(row, tmp, motion)
+			}
 			if chroma != nil {
-				// Chroma artifacts scale with local luminance: camera
-				// pipelines denoise shadows aggressively, so dark
-				// (structural black) regions keep far less correlated
-				// noise than lit ones.
-				luma := (0.299*float64(px.R) + 0.587*float64(px.G) + 0.114*float64(px.B)) / 255
-				gain := 0.15 + 0.85*luma
-				c := chromaRow[3*x : 3*x+3 : 3*x+3]
-				cr, cg, cb = c[0]*gain, c[1]*gain, c[2]*gain
+				chroma.row(y, chromaRow)
 			}
-			var nr, ng, nb float64
-			if sd > 0 {
-				nr = ch.rng.NormFloat64() * sd
-				ng = ch.rng.NormFloat64() * sd
-				nb = ch.rng.NormFloat64() * sd
-			}
-			row[x] = colorspace.RGB{
-				R: photom(px.R, bright, contrast, level, nr+cr),
-				G: photom(px.G, bright, contrast, level, ng+cg),
-				B: photom(px.B, bright, contrast, level, nb+cb),
+			src.state = faults.SplitMix64(key ^ uint64(y))
+			for x, px := range row {
+				var cr, cg, cb float64
+				if chroma != nil {
+					// Chroma artifacts scale with local luminance: camera
+					// pipelines denoise shadows aggressively, so dark
+					// (structural black) regions keep far less correlated
+					// noise than lit ones.
+					luma := (0.299*float64(px.R) + 0.587*float64(px.G) + 0.114*float64(px.B)) / 255
+					gain := 0.15 + 0.85*luma
+					c := chromaRow[3*x : 3*x+3 : 3*x+3]
+					cr, cg, cb = c[0]*gain, c[1]*gain, c[2]*gain
+				}
+				var nr, ng, nb float64
+				if sd > 0 {
+					nr = rng.NormFloat64() * sd
+					ng = rng.NormFloat64() * sd
+					nb = rng.NormFloat64() * sd
+				}
+				row[x] = colorspace.RGB{
+					R: photom(px.R, bright, contrast, level, nr+cr),
+					G: photom(px.G, bright, contrast, level, ng+cg),
+					B: photom(px.B, bright, contrast, level, nb+cb),
+				}
 			}
 		}
-	}
-	return out
+	})
 }
+
+// rowNoise is the rand.Source behind one row's sensor noise: the standard
+// splitmix64 generator, whose k-th output (from 1) is the mixer applied to
+// state + k·γ, top bit cleared for Int63. Photometric reseeds it per row
+// by setting state; rand.Rand keeps no buffered draws for NormFloat64, so
+// the reseed takes effect at the next draw.
+type rowNoise struct{ state uint64 }
+
+func (s *rowNoise) Int63() int64 {
+	x := faults.SplitMix64(s.state)
+	s.state += 0x9E3779B97F4A7C15 // γ, the increment SplitMix64 adds
+	return int64(x &^ (1 << 63))
+}
+
+func (s *rowNoise) Seed(seed int64) { s.state = uint64(seed) }
 
 // chromaField holds the spatially correlated noise of one capture: coarse
 // per-patch Gaussian draws, bilinearly upsampled one row at a time as the
-// photometric loop consumes them.
+// photometric row pass consumes them.
 type chromaField struct {
 	coarse [3][]float64
 	cw     int
 	scale  int
 }
 
-// chromaField makes every coarse draw of one capture, all before any
-// sensor-noise draw; nil when chroma noise is off.
+// chromaField makes every coarse draw of one capture, all before the
+// sensor-noise capture key; nil when chroma noise is off.
 func (ch *Channel) chromaField(w, h int) *chromaField {
 	if ch.cfg.ChromaNoiseStdDev <= 0 {
 		return nil

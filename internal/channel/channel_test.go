@@ -372,3 +372,124 @@ func TestChromaNoiseSparesBlacks(t *testing.T) {
 		}
 	}
 }
+
+// noiseResiduals films a flat mid-grey frame under dark ambient with blur,
+// motion blur and chroma off, so each output minus 128 is pure sensor
+// noise (plus uint8 rounding). It returns the residuals of n consecutive
+// captures of one channel, indexed [capture][pixel][channel].
+func noiseResiduals(t *testing.T, sd float64, w, h, n int) [][][3]float64 {
+	t.Helper()
+	const grey = 128
+	base := raster.New(w, h)
+	base.Fill(colorspace.RGB{R: grey, G: grey, B: grey})
+	cfg := DefaultConfig()
+	cfg.Ambient = AmbientDark
+	cfg.BlurSigma = 0
+	cfg.MotionBlurPx = 0
+	cfg.NoiseStdDev = sd
+	ch := MustNew(cfg)
+	out := make([][][3]float64, n)
+	for k := range out {
+		img := ch.Photometric(base)
+		out[k] = make([][3]float64, len(img.Pix))
+		for i, p := range img.Pix {
+			out[k][i] = [3]float64{float64(p.R) - grey, float64(p.G) - grey, float64(p.B) - grey}
+		}
+	}
+	return out
+}
+
+// corr is the Pearson correlation of paired samples.
+func corr(a, b []float64) float64 {
+	var ma, mb float64
+	for i := range a {
+		ma += a[i]
+		mb += b[i]
+	}
+	ma /= float64(len(a))
+	mb /= float64(len(b))
+	var sab, saa, sbb float64
+	for i := range a {
+		da, db := a[i]-ma, b[i]-mb
+		sab += da * db
+		saa += da * da
+		sbb += db * db
+	}
+	return sab / math.Sqrt(saa*sbb)
+}
+
+func TestSensorNoiseStatistics(t *testing.T) {
+	const (
+		sd   = 8.0
+		w, h = 256, 192
+	)
+	res := noiseResiduals(t, sd, w, h, 2)
+	cur, next := res[0], res[1]
+
+	var sum, sq float64
+	for _, p := range cur {
+		for _, v := range p {
+			sum += v
+			sq += v * v
+		}
+	}
+	n := float64(3 * len(cur))
+	mean := sum / n
+	got := math.Sqrt(sq/n - mean*mean)
+	// Rounding to uint8 adds a uniform ±0.5 error: variance 1/12.
+	want := math.Sqrt(sd*sd + 1.0/12)
+	if math.Abs(mean) > 0.1 {
+		t.Errorf("noise mean %.4f, want ≈ 0", mean)
+	}
+	if math.Abs(got-want) > 0.1 {
+		t.Errorf("noise sd %.4f, want ≈ %.4f", got, want)
+	}
+
+	// Lag-1 correlations: along a row, across every adjacent row pair (each
+	// a row-key boundary), between colour channels at one pixel, and at one
+	// pixel across consecutive captures.
+	pairs := map[string][2][]float64{}
+	add := func(name string, a, b float64) {
+		p := pairs[name]
+		p[0], p[1] = append(p[0], a), append(p[1], b)
+		pairs[name] = p
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			i := y*w + x
+			for c := 0; c < 3; c++ {
+				if x+1 < w {
+					add("horizontal", cur[i][c], cur[i+1][c])
+				}
+				if y+1 < h {
+					add("vertical", cur[i][c], cur[i+w][c])
+				}
+				add("capture-to-capture", cur[i][c], next[i][c])
+			}
+			add("R-G", cur[i][0], cur[i][1])
+			add("G-B", cur[i][1], cur[i][2])
+			add("R-B", cur[i][0], cur[i][2])
+		}
+	}
+	for name, p := range pairs {
+		if rho := corr(p[0], p[1]); math.Abs(rho) >= 0.02 {
+			t.Errorf("%s lag-1 correlation %.4f, want |ρ| < 0.02", name, rho)
+		}
+	}
+}
+
+func TestNoiseFreePhotometricLeavesRNGUntouched(t *testing.T) {
+	// Without sensor or chroma noise the photometric pass draws nothing
+	// from the channel's sequential PRNG (no noise key either), so the
+	// jitter stream of noise-free captures is the warp's alone.
+	cfg := DefaultConfig()
+	cfg.NoiseStdDev = 0
+	cfg.ChromaNoiseStdDev = 0
+	used, fresh := MustNew(cfg), MustNew(cfg)
+	used.Photometric(testFrame())
+	for i := 0; i < 4; i++ {
+		if a, b := used.rng.Int63(), fresh.rng.Int63(); a != b {
+			t.Fatalf("draw %d after Photometric: %d, fresh channel %d", i, a, b)
+		}
+	}
+}

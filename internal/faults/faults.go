@@ -89,9 +89,10 @@ func (c *Chain) CloneFresh() *Chain {
 	return &Chain{Seed: c.Seed, Injectors: c.Injectors, Recorder: c.Recorder}
 }
 
-// splitmix64 is the standard avalanche mixer; it turns the structured
-// (seed, injector, frame) triple into uncorrelated PRNG seeds.
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the standard splitmix64 avalanche mixer; it turns the
+// structured (seed, injector, frame) triple into uncorrelated PRNG seeds.
+// The channel's keyed per-row sensor noise uses the same mixer.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
@@ -100,7 +101,7 @@ func splitmix64(x uint64) uint64 {
 
 // rngFor derives the PRNG for injector position i on capture frame.
 func (c *Chain) rngFor(i, frame int) *rand.Rand {
-	h := splitmix64(uint64(c.Seed) ^ splitmix64(uint64(i)<<32|uint64(uint32(frame))))
+	h := SplitMix64(uint64(c.Seed) ^ SplitMix64(uint64(i)<<32|uint64(uint32(frame))))
 	// Determinism contract (RB-D2): locally seeded *rand.Rand — fault
 	// decisions are a pure function of (chain seed, injector position,
 	// capture index), independent of evaluation order or host state.

@@ -161,8 +161,9 @@ func captureGoldens(t *testing.T) map[string]string {
 // TestGoldenCaptures pins the simulated screen-to-camera path bit for bit:
 // Camera.Film (rolling-shutter mixing, warp, blur, noise, photometrics,
 // faults) and Channel.Capture over a fixed matrix of conditions, at
-// GOMAXPROCS 1 and 2. The simulator's row-parallel warp and blur
-// must not change a single output bit with the worker count. A failure
+// GOMAXPROCS 1, 2 and 3 (3 splits the rows into bands other than 1|2).
+// The simulator's row-parallel warp, blur and keyed-noise photometric
+// pass must not change a single output bit with the worker count. A failure
 // means simulated pixels moved; that is only legitimate in a change that
 // deliberately alters the channel model, which regenerates the corpus with
 // `go test ./internal/integration -run GoldenCaptures -update-captures`.
@@ -187,7 +188,7 @@ func TestGoldenCaptures(t *testing.T) {
 	if err := json.Unmarshal(blob, &want); err != nil {
 		t.Fatalf("parse %s: %v", goldenCapturesPath, err)
 	}
-	for _, procs := range []int{1, 2} {
+	for _, procs := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			got := captureGoldens(t)

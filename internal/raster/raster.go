@@ -15,36 +15,68 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"rainbar/internal/colorspace"
 )
 
 // ParallelRows splits the row range [0, h) into contiguous bands, one per
-// available CPU, and runs fn on each band concurrently. fn must only read
-// shared inputs and write rows inside its own band; because every output
-// row is computed independently, results are identical for any worker
-// count. With a single CPU (or a single row) it degenerates to a plain
-// call, so the serial path pays no synchronization cost.
+// CPU not already running bands, and runs fn on each band concurrently. fn
+// must only read shared inputs and write rows inside its own band; because
+// every output row is computed independently, results are identical for
+// any worker count. With a single CPU (or a single row) it degenerates to
+// a plain call, so the serial path pays no synchronization cost.
+//
+// The band count adapts to load so that concurrent callers do not
+// oversubscribe the CPUs: a call counts every goroutine already inside
+// ParallelRows (other callers and their helpers) against GOMAXPROCS, and
+// with no CPU to spare it runs all rows inline. Bands are claimed, not
+// assigned: the caller and its helper goroutines each take the next
+// unclaimed band, and the caller waits only for bands a helper has already
+// started, never for a helper that has not been scheduled yet. A serve
+// daemon with one session per CPU thus runs each capture on its own
+// session's CPU, as serial kernels would, while a lone transfer still
+// spreads its bands over every idle CPU.
 func ParallelRows(h int, fn func(y0, y1 int)) {
-	workers := min(runtime.GOMAXPROCS(0), h)
+	procs := runtime.GOMAXPROCS(0)
+	n := int(inBands.Add(1))
+	defer inBands.Add(-1)
+	workers := min(procs-n+1, h)
 	if workers <= 1 {
 		fn(0, h)
 		return
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		y0, y1 := w*h/workers, (w+1)*h/workers
-		if y0 == y1 {
-			continue
+	var next, left atomic.Int32
+	left.Store(int32(workers))
+	finished := make(chan struct{})
+	// run claims and runs one band; false once every band is claimed.
+	run := func() bool {
+		b := int(next.Add(1)) - 1
+		if b >= workers {
+			return false
 		}
-		wg.Add(1)
+		fn(b*h/workers, (b+1)*h/workers)
+		if left.Add(-1) == 0 {
+			close(finished)
+		}
+		return true
+	}
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			fn(y0, y1)
+			inBands.Add(1)
+			defer inBands.Add(-1)
+			for run() {
+			}
 		}()
 	}
-	wg.Wait()
+	for run() {
+	}
+	<-finished
 }
+
+// inBands counts the goroutines inside ParallelRows, callers and helpers
+// alike; ParallelRows sizes its band count from it.
+var inBands atomic.Int32
 
 // RowTask is the typed-job counterpart of the ParallelRows callback: a
 // value whose RunRows processes the contiguous row band [y0, y1). Hot-path
@@ -354,18 +386,50 @@ func (img *Image) MeanFilterAt(x, y int) colorspace.RGB {
 // order whichever band produces it, so the result does not depend on the
 // worker count.
 func (img *Image) GaussianBlur(sigma float64) *Image {
-	if sigma <= 0 {
+	return img.GaussianBlurRows(sigma, nil)
+}
+
+// GaussianBlurRows is GaussianBlur fused with a per-row pass over its
+// output, in the same row bands and under the same fork/join: each band
+// calls band once for its row finisher, then hands that finisher every
+// output row y of the band, in order, right after the blur writes it (or,
+// for sigma <= 0, right after the row is copied). The finisher may rewrite
+// the row in place and must touch no other row, so — as with ParallelRows
+// — the result does not depend on the band layout. A nil band is plain
+// GaussianBlur.
+func (img *Image) GaussianBlurRows(sigma float64, band func() func(y int, row []colorspace.RGB)) *Image {
+	if sigma <= 0 && band == nil {
 		return img.Clone()
 	}
 	out := newUncleared(img.W, img.H)
-	kernel := gaussianKernel(sigma)
+	var kernel []float64
+	if sigma > 0 {
+		kernel = gaussianKernel(sigma)
+	}
 	w := img.W
 	ParallelRows(img.H, func(y0, y1 int) {
-		b := newRowBlur(img, kernel, y0)
-		for y := y0; y < y1; y++ {
-			b.next(out.Pix[y*w : (y+1)*w : (y+1)*w])
+		var finish func(int, []colorspace.RGB)
+		if band != nil {
+			finish = band()
 		}
-		b.close()
+		var b *rowBlur
+		if kernel != nil {
+			b = newRowBlur(img, kernel, y0)
+		}
+		for y := y0; y < y1; y++ {
+			row := out.Pix[y*w : (y+1)*w : (y+1)*w]
+			if b != nil {
+				b.next(row)
+			} else {
+				copy(row, img.Pix[y*w:(y+1)*w])
+			}
+			if finish != nil {
+				finish(y, row)
+			}
+		}
+		if b != nil {
+			b.close()
+		}
 	})
 	return out
 }

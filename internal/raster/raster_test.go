@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -280,6 +281,44 @@ func TestGaussianBlurMatchesReference(t *testing.T) {
 				got, want := img.GaussianBlur(sigma), gaussianBlurRef(img, sigma)
 				if !bytes.Equal(flatten(got), flatten(want)) {
 					t.Errorf("%s sigma=%v procs=%d: blur differs from the two-plane reference", name, sigma, procs)
+				}
+			}
+		}
+	}
+}
+
+// TestGaussianBlurRowsFinishesEachRowOnce checks the fused blur+row pass
+// against the blur followed by a serial finishing loop, at GOMAXPROCS 1
+// and 3, and with sigma 0 (copy, then finish). The finisher inverts
+// each pixel and adds the row index, so a row finished twice, left
+// unfinished or handed the wrong index would show.
+func TestGaussianBlurRowsFinishesEachRowOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	finish := func(y int, row []colorspace.RGB) {
+		for x, p := range row {
+			row[x] = colorspace.RGB{R: 255 - p.R, G: p.G + uint8(y), B: p.B}
+		}
+	}
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		for name, img := range blurCases() {
+			for _, sigma := range []float64{0, 0.9, 2.5} {
+				var bands atomic.Int32
+				got := img.GaussianBlurRows(sigma, func() func(int, []colorspace.RGB) {
+					bands.Add(1)
+					return finish
+				})
+				want := img.GaussianBlur(sigma)
+				for y := 0; y < want.H; y++ {
+					finish(y, want.Pix[y*want.W:(y+1)*want.W])
+				}
+				if !bytes.Equal(flatten(got), flatten(want)) {
+					t.Errorf("%s sigma=%v procs=%d: fused pass differs from blur then finish", name, sigma, procs)
+				}
+				// A helper still leaving an earlier call may hold a CPU, so
+				// the band count can be lower than procs, never higher.
+				if n := int(bands.Load()); n < 1 || n > min(procs, img.H) {
+					t.Errorf("%s sigma=%v procs=%d: %d band finishers, want 1..%d", name, sigma, procs, n, min(procs, img.H))
 				}
 			}
 		}

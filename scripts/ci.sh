@@ -12,7 +12,9 @@
 # receiver at 0 allocs/op (the DESIGN.md §11 hot-path memory contract);
 # the bench smoke proves the perf-snapshot harness (scripts/bench.sh,
 # BENCH_<n>.json) runs end to end; the serve soak and loadtest smoke
-# gate the multi-session daemon (DESIGN.md §12); the fuzz steps
+# gate the multi-session daemon (DESIGN.md §12); the _xferbench steps
+# vet and test the transfer benchmark's own module (its delivered-byte
+# gate and tamper tests) against every simulator change; the fuzz steps
 # keep the decode paths panic-free on corrupt input (Go runs one fuzz
 # target per invocation, hence one line each). Set CI_FUZZ=0 to skip the
 # fuzz smoke locally and keep the build+lint+test gate fast. Run before
@@ -30,6 +32,7 @@ go build -o /dev/null ./cmd/rainbar-debug
 go build -o /dev/null ./cmd/rainbar-lint
 go build -o /dev/null ./cmd/rainbar-serve
 go vet ./...
+go -C _xferbench vet ./...
 
 # Lint gates, each timed against the <10s budget the interprocedural
 # engine is held to: the -json gate is the machine-readable findings run
@@ -45,6 +48,7 @@ go run ./cmd/rainbar-lint -annotations ./...
 echo "rainbar-lint -annotations: $(($(date +%s) - lint_t0))s"
 
 go test ./...
+go -C _xferbench test ./...
 go test -race ./...
 go run ./cmd/rainbar-bench -exp fig10a -frames 1 -metrics - >/dev/null
 go run ./cmd/rainbar-bench -exp recovery -frames 1 -recovery combine >/dev/null
