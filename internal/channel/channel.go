@@ -153,6 +153,17 @@ func (c Config) scale() float64 {
 	return 0.92 * 8.0 / c.DistanceCM
 }
 
+// lens is the radial distortion of a w x h capture, centered and
+// normalized by half the diagonal.
+func (c Config) lens(w, h int) geometry.RadialDistortion {
+	return geometry.RadialDistortion{
+		Center: geometry.Point{X: float64(w) / 2, Y: float64(h) / 2},
+		Norm:   math.Hypot(float64(w), float64(h)) / 2,
+		K1:     c.LensK1,
+		K2:     c.LensK2,
+	}
+}
+
 // effectiveBlurSigma grows defocus mildly as the subject leaves the focal
 // plane at the reference distance.
 func (c Config) effectiveBlurSigma() float64 {
@@ -171,12 +182,7 @@ func (c Config) ForwardMap(w, h int) (func(geometry.Point) geometry.Point, error
 	if err != nil {
 		return nil, fmt.Errorf("channel forward map: %w", err)
 	}
-	lens := geometry.RadialDistortion{
-		Center: geometry.Point{X: float64(w) / 2, Y: float64(h) / 2},
-		Norm:   math.Hypot(float64(w), float64(h)) / 2,
-		K1:     c.LensK1,
-		K2:     c.LensK2,
-	}
+	lens := c.lens(w, h)
 	return func(p geometry.Point) geometry.Point {
 		target := hom.Apply(p)
 		// Solve lens.Apply(q) == target by fixed-point iteration
@@ -304,7 +310,10 @@ func (ch *Channel) jitter() (jx, jy float64) {
 // through lens∘inverse-homography and sampled only from the frame(s) its
 // row shows; a blended row lerps the two samples toward B. Pixels that map
 // off the screen, and rows that show no frame, stay black. nil rows means
-// every row shows frames[0].
+// every row shows frames[0]. Only the pixels of each row's span
+// (warpSpans) are mapped: the rest of the row is the dark surround under
+// every jitter draw, so it stays black without being computed, and the
+// cost follows the screen's footprint rather than the capture size.
 func (ch *Channel) warpMix(frames []*raster.Image, rows []RowMix, jx, jy float64) (*raster.Image, error) {
 	w, h := frames[0].W, frames[0].H
 	for _, f := range frames {
@@ -323,12 +332,8 @@ func (ch *Channel) warpMix(frames []*raster.Image, rows []RowMix, jx, jy float64
 	if err != nil {
 		return nil, fmt.Errorf("channel warp: %w", err)
 	}
-	lens := geometry.RadialDistortion{
-		Center: geometry.Point{X: float64(w) / 2, Y: float64(h) / 2},
-		Norm:   math.Hypot(float64(w), float64(h)) / 2,
-		K1:     ch.cfg.LensK1,
-		K2:     ch.cfg.LensK2,
-	}
+	lens := ch.cfg.lens(w, h)
+	spans := ch.cfg.warpSpans(w, h)
 
 	// Every output pixel is an independent pure function of the frames and
 	// the (already drawn) jitter, so rows fan out across CPUs without
@@ -336,6 +341,10 @@ func (ch *Channel) warpMix(frames []*raster.Image, rows []RowMix, jx, jy float64
 	out := raster.New(w, h)
 	raster.ParallelRows(h, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
+			lo, hi := int(spans[y].lo), int(spans[y].hi)
+			if lo >= hi {
+				continue // no jitter draw puts the screen on this row
+			}
 			rm := RowMix{Alpha: 1}
 			if rows != nil {
 				rm = rows[y]
@@ -349,7 +358,7 @@ func (ch *Channel) warpMix(frames []*raster.Image, rows []RowMix, jx, jy float64
 				fa = frames[rm.A]
 			}
 			orow := out.Pix[y*w : (y+1)*w : (y+1)*w]
-			for x := 0; x < w; x++ {
+			for x := lo; x < hi; x++ {
 				// Captured pixel -> ideal pinhole position (lens model) ->
 				// screen position (inverse perspective).
 				ideal := lens.Apply(geometry.Point{X: float64(x), Y: float64(y)})

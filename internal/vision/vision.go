@@ -45,75 +45,117 @@ func BlackBlobs(classMap []colorspace.Color, mw, mh int) []Blob {
 	return s.BlackBlobs(classMap, mw, mh)
 }
 
-// BlobScratch holds the reusable working state of BlackBlobs, so a decoder
-// that labels one map per capture does not reallocate the visited plane,
-// the flood-fill stack and the blob list every time. The zero value is
-// ready to use; a BlobScratch is not safe for concurrent use.
+// BlobScratch holds the reusable working state of BlackBlobs — the run
+// table, its union-find parents and the run-to-blob index — so a decoder
+// that labels one map per capture does not reallocate them every time.
+// The labeling works on maximal horizontal runs of black cells, not on
+// cells, so its cost follows the number of runs: the dark surround of
+// the screen, one giant blob covering most of the map, is one or two runs
+// per row. The zero value is ready to use; a BlobScratch is not safe for
+// concurrent use.
 type BlobScratch struct {
-	// visited marks cells by epoch: a cell is visited in the current call
-	// iff visited[i] == epoch. Bumping the epoch resets the plane in O(1);
-	// the plane is only cleared for real on the (rare) epoch wraparound.
-	visited []uint32
-	epoch   uint32
-	stack   []int
-	blobs   []Blob
+	runs   []blackRun
+	parent []int32 // union-find forest over runs; a root is its set's lowest index
+	index  []int   // root run -> its component's slot in blobs
+	blobs  []Blob
 }
+
+// blackRun is a maximal run of black cells x0..x1 (inclusive) in map row y.
+type blackRun struct{ x0, x1, y int32 }
 
 // BlackBlobs is the scratch-backed labeling; results are identical to the
 // package-level BlackBlobs. The returned slice is owned by the scratch and
 // valid until the next call.
+//
+// Each row's runs are unioned with every run of the previous row that
+// overlaps [x0-1, x1+1], which is exactly 8-connectivity. Unions keep the
+// lower run index as the root, so every component's root is its first run
+// in raster order, and blobs come out in the order of their first cell:
+// the order a raster-scan flood fill starts them in. Per-blob sums are
+// integers, so folding them run by run gives the same fields as cell by
+// cell.
 func (s *BlobScratch) BlackBlobs(classMap []colorspace.Color, mw, mh int) []Blob {
-	if cap(s.visited) >= mw*mh {
-		s.visited = s.visited[:mw*mh]
-	} else {
-		s.visited = make([]uint32, mw*mh)
-	}
-	s.epoch++
-	if s.epoch == 0 {
-		clear(s.visited)
-		s.epoch = 1
-	}
-	epoch := s.epoch
-	visited := s.visited
-	out := s.blobs[:0]
-	stack := s.stack
-	for start := range classMap {
-		if classMap[start] != colorspace.Black || visited[start] == epoch {
-			continue
-		}
-		blob := Blob{MinX: mw, MinY: mh}
-		stack = stack[:0]
-		stack = append(stack, start)
-		visited[start] = epoch
-		for len(stack) > 0 {
-			i := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			x, y := i%mw, i/mw
-			blob.Size++
-			blob.sumX += x
-			blob.sumY += y
-			blob.MinX = min(blob.MinX, x)
-			blob.MaxX = max(blob.MaxX, x)
-			blob.MinY = min(blob.MinY, y)
-			blob.MaxY = max(blob.MaxY, y)
-			for _, d := range [8][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {1, -1}, {-1, 1}, {-1, -1}} {
-				nx, ny := x+d[0], y+d[1]
-				if nx < 0 || nx >= mw || ny < 0 || ny >= mh {
-					continue
-				}
-				j := ny*mw + nx
-				if visited[j] != epoch && classMap[j] == colorspace.Black {
-					visited[j] = epoch
-					stack = append(stack, j)
-				}
+	runs, parent := s.runs[:0], s.parent[:0]
+	prev := 0 // index of the previous row's first run
+	for y := 0; y < mh; y++ {
+		row := classMap[y*mw : (y+1)*mw]
+		cur := len(runs)
+		p := prev // first previous-row run that may still touch this row's runs
+		for x := 0; x < mw; x++ {
+			if row[x] != colorspace.Black {
+				continue
+			}
+			x0 := x
+			for x+1 < mw && row[x+1] == colorspace.Black {
+				x++
+			}
+			id := int32(len(runs))
+			runs = append(runs, blackRun{int32(x0), int32(x), int32(y)})
+			parent = append(parent, id)
+			for p < cur && int(runs[p].x1) < x0-1 {
+				p++
+			}
+			for q := p; q < cur && int(runs[q].x0) <= x+1; q++ {
+				union(parent, id, int32(q))
 			}
 		}
-		if blob.Size >= 2 {
-			out = append(out, blob)
+		prev = cur
+	}
+
+	if cap(s.index) >= len(runs) {
+		s.index = s.index[:len(runs)]
+	} else {
+		s.index = make([]int, len(runs))
+	}
+	index := s.index
+	out := s.blobs[:0]
+	for i, r := range runs {
+		// Roots precede their members, so parent[parent[i]] is already a
+		// root here: one step finishes the path compression.
+		root := parent[parent[i]]
+		parent[i] = root
+		if int(root) == i {
+			index[i] = len(out)
+			out = append(out, Blob{MinX: int(r.x0), MinY: int(r.y), MaxX: int(r.x1), MaxY: int(r.y)})
+		}
+		b := &out[index[root]]
+		x0, x1, y := int(r.x0), int(r.x1), int(r.y)
+		n := x1 - x0 + 1
+		b.Size += n
+		b.sumX += n * (x0 + x1) / 2
+		b.sumY += n * y
+		b.MinX = min(b.MinX, x0)
+		b.MaxX = max(b.MaxX, x1)
+		b.MaxY = max(b.MaxY, y)
+	}
+	// Components smaller than 2 cells are noise; drop them in order.
+	kept := out[:0]
+	for _, b := range out {
+		if b.Size >= 2 {
+			kept = append(kept, b)
 		}
 	}
-	s.stack, s.blobs = stack, out
-	return out
+	s.runs, s.parent, s.blobs = runs, parent, kept
+	return kept
+}
+
+// union joins the sets of runs a and b, keeping the lower root.
+func union(parent []int32, a, b int32) {
+	ra, rb := find(parent, a), find(parent, b)
+	if ra < rb {
+		parent[rb] = ra
+	} else if rb < ra {
+		parent[ra] = rb
+	}
+}
+
+// find returns the root of run i, halving the path as it goes.
+func find(parent []int32, i int32) int32 {
+	for parent[i] != i {
+		parent[i] = parent[parent[i]]
+		i = parent[i]
+	}
+	return i
 }
 
 // ClassifyMap builds a downsampled classification map of the image with

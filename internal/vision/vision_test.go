@@ -1,6 +1,7 @@
 package vision
 
 import (
+	"math/rand"
 	"testing"
 
 	"rainbar/internal/colorspace"
@@ -174,4 +175,150 @@ func TestRingVotesOffImage(t *testing.T) {
 	if total > 3 {
 		t.Fatalf("%d in-bounds ring samples at the corner, want <= 3", total)
 	}
+}
+
+// floodFillBlobs is the reference labeling BlackBlobs must match: a
+// raster-order scan that flood-fills each unvisited black cell's
+// 8-connected component, one cell at a time.
+func floodFillBlobs(classMap []colorspace.Color, mw, mh int) []Blob {
+	visited := make([]bool, mw*mh)
+	var out []Blob
+	for start := range classMap {
+		if classMap[start] != colorspace.Black || visited[start] {
+			continue
+		}
+		blob := Blob{MinX: mw, MinY: mh}
+		stack := []int{start}
+		visited[start] = true
+		for len(stack) > 0 {
+			i := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			x, y := i%mw, i/mw
+			blob.Size++
+			blob.sumX += x
+			blob.sumY += y
+			blob.MinX = min(blob.MinX, x)
+			blob.MaxX = max(blob.MaxX, x)
+			blob.MinY = min(blob.MinY, y)
+			blob.MaxY = max(blob.MaxY, y)
+			for _, d := range [8][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {1, -1}, {-1, 1}, {-1, -1}} {
+				nx, ny := x+d[0], y+d[1]
+				if nx < 0 || nx >= mw || ny < 0 || ny >= mh {
+					continue
+				}
+				j := ny*mw + nx
+				if !visited[j] && classMap[j] == colorspace.Black {
+					visited[j] = true
+					stack = append(stack, j)
+				}
+			}
+		}
+		if blob.Size >= 2 {
+			out = append(out, blob)
+		}
+	}
+	return out
+}
+
+// checkBlobs compares the scratch labeling of one map with the flood fill,
+// blob for blob and in order.
+func checkBlobs(t *testing.T, s *BlobScratch, m []colorspace.Color, mw, mh int) {
+	t.Helper()
+	got := s.BlackBlobs(m, mw, mh)
+	want := floodFillBlobs(m, mw, mh)
+	if len(got) != len(want) {
+		t.Fatalf("%dx%d map: %d blobs, flood fill finds %d", mw, mh, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%dx%d map: blob %d = %+v, flood fill gives %+v", mw, mh, i, got[i], want[i])
+		}
+	}
+}
+
+// randomMap fills an mw x mh map with black at the given density and the
+// data colors elsewhere.
+func randomMap(rng *rand.Rand, mw, mh int, density float64) []colorspace.Color {
+	m := make([]colorspace.Color, mw*mh)
+	for i := range m {
+		if rng.Float64() < density {
+			m[i] = colorspace.Black
+		} else {
+			m[i] = colorspace.Color(rng.Intn(int(colorspace.Black)))
+		}
+	}
+	return m
+}
+
+func TestBlackBlobsMatchesFloodFill(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var s BlobScratch // reused across every size and density below
+	for _, density := range []float64{0, 0.05, 0.2, 0.4, 0.5, 0.6, 0.8, 0.95, 1} {
+		for trial := 0; trial < 40; trial++ {
+			mw, mh := 1+rng.Intn(64), 1+rng.Intn(64)
+			checkBlobs(t, &s, randomMap(rng, mw, mh, density), mw, mh)
+		}
+	}
+	for _, dims := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {64, 1}, {1, 64}, {64, 64}, {33, 17}} {
+		mw, mh := dims[0], dims[1]
+		all := make([]colorspace.Color, mw*mh)
+		for i := range all {
+			all[i] = colorspace.Black
+		}
+		checkBlobs(t, &s, all, mw, mh) // all black, single rows and columns
+		checkBlobs(t, &s, randomMap(rng, mw, mh, 0.5), mw, mh)
+	}
+}
+
+func TestBlackBlobsDiagonalChains(t *testing.T) {
+	var s BlobScratch
+	const n = 24
+	diag := func(fn func(x, y int) bool) []colorspace.Color {
+		m := make([]colorspace.Color, n*n)
+		for y := 0; y < n; y++ {
+			for x := 0; x < n; x++ {
+				if fn(x, y) {
+					m[y*n+x] = colorspace.Black
+				}
+			}
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name string
+		m    []colorspace.Color
+		size int // the size of the one blob each chain must form
+	}{
+		{"main", diag(func(x, y int) bool { return x == y }), n},
+		{"anti", diag(func(x, y int) bool { return x+y == n-1 }), n},
+		{"checkerboard", diag(func(x, y int) bool { return (x+y)%2 == 0 }), n * n / 2},
+		{"v", diag(func(x, y int) bool { return x == y || x == n-1-y }), 2 * n},
+	} {
+		checkBlobs(t, &s, tc.m, n, n)
+		if got := s.BlackBlobs(tc.m, n, n); len(got) != 1 || got[0].Size != tc.size {
+			t.Errorf("%s: %+v, want one diagonally connected blob of %d cells", tc.name, got, tc.size)
+		}
+	}
+	// Parallel diagonals two cells apart stay separate.
+	checkBlobs(t, &s, diag(func(x, y int) bool { return (x+y)%4 == 0 }), n, n)
+}
+
+// FuzzBlackBlobs checks the run-length labeling against the flood fill on
+// arbitrary maps: each input byte is one cell, its color the byte modulo
+// the five classes, laid out in rows of 1 + width%64 cells. One scratch
+// serves every input, so stale state from a larger map would show.
+func FuzzBlackBlobs(f *testing.F) {
+	f.Add([]byte{4, 4, 0, 4, 4, 4, 0, 0, 4}, uint8(3))
+	f.Add([]byte{4, 0, 4, 0, 4, 0, 4, 0, 4, 0, 4, 0}, uint8(4))
+	f.Add([]byte{1, 2, 3, 4}, uint8(0))
+	var s BlobScratch
+	f.Fuzz(func(t *testing.T, cells []byte, width uint8) {
+		mw := 1 + int(width)%64
+		mh := len(cells) / mw
+		m := make([]colorspace.Color, mw*mh)
+		for i := range m {
+			m[i] = colorspace.Color(cells[i]) % (colorspace.Black + 1)
+		}
+		checkBlobs(t, &s, m, mw, mh)
+	})
 }

@@ -44,25 +44,6 @@ import (
 	"rainbar/internal/transport"
 )
 
-// Options configures a RainBar link endpoint.
-//
-// Deprecated: Options remains only to serve NewFromOptions. New code
-// should call New with functional options (WithScreenSize, WithBlockSize,
-// ...), which cover strictly more of the codec surface.
-type Options struct {
-	// ScreenW, ScreenH are the sender's screen dimensions in pixels
-	// (default 1920x1080, the paper's Galaxy S4).
-	ScreenW, ScreenH int
-	// BlockSize is the barcode block side in pixels (default 13).
-	BlockSize int
-	// DisplayRate is the display rate in fps recorded in frame headers
-	// (default 10).
-	DisplayRate int
-	// RSParity is the Reed-Solomon parity bytes per 255-byte message
-	// (default 16, correcting 8 byte errors per message).
-	RSParity int
-}
-
 // config is the resolved option set New builds from.
 type config struct {
 	screenW, screenH int
@@ -178,27 +159,6 @@ func New(opts ...Option) (*Codec, error) {
 		return nil, fmt.Errorf("rainbar: %w", err)
 	}
 	return c, nil
-}
-
-// NewFromOptions creates a codec from the legacy Options struct (zero
-// values take the paper's defaults).
-//
-// Deprecated: use New with functional options.
-func NewFromOptions(o Options) (*Codec, error) {
-	opts := []Option{}
-	if o.ScreenW != 0 || o.ScreenH != 0 {
-		opts = append(opts, WithScreenSize(o.ScreenW, o.ScreenH))
-	}
-	if o.BlockSize != 0 {
-		opts = append(opts, WithBlockSize(o.BlockSize))
-	}
-	if o.DisplayRate != 0 {
-		opts = append(opts, WithDisplayRate(o.DisplayRate))
-	}
-	if o.RSParity != 0 {
-		opts = append(opts, WithRSParity(o.RSParity))
-	}
-	return New(opts...)
 }
 
 // ---------------------------------------------------------------------------

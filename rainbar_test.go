@@ -30,25 +30,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestNewFromOptionsShim(t *testing.T) {
-	// The deprecated struct constructor must build codecs identical to the
-	// functional-option path, including the zero-value defaults.
-	old, err := rainbar.NewFromOptions(rainbar.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := rainbar.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.FrameCapacity() != cur.FrameCapacity() {
-		t.Fatalf("shim capacity %d != options capacity %d", old.FrameCapacity(), cur.FrameCapacity())
-	}
-	if _, err := rainbar.NewFromOptions(rainbar.Options{ScreenW: 50, ScreenH: 50}); err == nil {
-		t.Fatal("shim accepted tiny screen")
-	}
-}
-
 func TestFacadeEndToEnd(t *testing.T) {
 	c, err := rainbar.New(rainbar.WithScreenSize(640, 360), rainbar.WithBlockSize(12))
 	if err != nil {

@@ -8,15 +8,17 @@
 # raster kernels and the sharded metrics recorder; the metrics smoke
 # proves rainbar-bench can instrument a sweep end to end; the recovery
 # smoke proves the decode-recovery ablation runs under the full ladder
-# with cross-round combining; the allocation gate holds the steady-state
+# with cross-round combining; the determinism gate diffs one table across
+# worker counts; the allocation gate holds the steady-state
 # receiver at 0 allocs/op (the DESIGN.md §11 hot-path memory contract);
 # the bench smoke proves the perf-snapshot harness (scripts/bench.sh,
 # BENCH_<n>.json) runs end to end; the serve soak and loadtest smoke
 # gate the multi-session daemon (DESIGN.md §12); the _xferbench steps
 # vet and test the transfer benchmark's own module (its delivered-byte
 # gate and tamper tests) against every simulator change; the fuzz steps
-# keep the decode paths panic-free on corrupt input (Go runs one fuzz
-# target per invocation, hence one line each). Set CI_FUZZ=0 to skip the
+# keep the decode paths panic-free on corrupt input and hold the blob
+# labeling to its flood-fill reference (Go runs one fuzz target per
+# invocation, hence one line each). Set CI_FUZZ=0 to skip the
 # fuzz smoke locally and keep the build+lint+test gate fast. Run before
 # every merge.
 set -eux
@@ -53,6 +55,18 @@ go test -race ./...
 go run ./cmd/rainbar-bench -exp fig10a -frames 1 -metrics - >/dev/null
 go run ./cmd/rainbar-bench -exp recovery -frames 1 -recovery combine >/dev/null
 
+# Determinism gate: a table must be byte-identical at any worker count;
+# the elapsed footer is its one wall-clock line. Temp files, not process
+# substitution, because /bin/sh may be dash.
+det=$(mktemp -d)
+go build -o "$det/rainbar-bench" ./cmd/rainbar-bench
+"$det/rainbar-bench" -exp fig10a -frames 1 -workers 1 >"$det/w1.out"
+"$det/rainbar-bench" -exp fig10a -frames 1 -workers 2 >"$det/w2.out"
+grep -v elapsed "$det/w1.out" >"$det/w1"
+grep -v elapsed "$det/w2.out" >"$det/w2"
+diff "$det/w1" "$det/w2"
+rm -r "$det"
+
 # Serve gates: the 1000-session registry soak must be race-clean (it
 # also runs inside `go test -race ./...`; this line keeps it visible as
 # its own gate), and the loadtest smoke must emit a perf snapshot with
@@ -87,4 +101,5 @@ if [ "${CI_FUZZ:-1}" != "0" ]; then
 	go test -fuzz=FuzzLadderDecode -fuzztime=20s ./internal/core
 	go test -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/serve
 	go test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/serve/journal
+	go test -fuzz=FuzzBlackBlobs -fuzztime=10s ./internal/vision
 fi
